@@ -32,6 +32,11 @@ Usage::
 shapes, simulated speedup ≥ 1.0 on repartition, wall throughput within
 ``WALL_PARITY_FLOOR`` of materialized, and a >30% regression floor
 against the checked-in baseline JSON.
+
+Each shape runs ``WALL_PAIRS`` streaming/materialized pairs, alternating
+which plane goes first. The wall gate reads the median of the per-pair
+ratios, and the reported runs are each plane's median-wall run: a single
+``--quick`` pair on a shared 2-vCPU host reads anywhere from 0.6x to 1.6x.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ import argparse
 import hashlib
 import json
 import os
+import statistics
 import sys
 import time
 
@@ -54,6 +60,8 @@ REGRESSION_FLOOR = 0.70
 #: cost more than ~18% extra wall time on any shape (it is usually at
 #: parity; the margin absorbs CI runner noise on sub-second runs).
 WALL_PARITY_FLOOR = 0.85
+#: Streaming/materialized pairs per shape (odd, so the median is a pair).
+WALL_PAIRS = 5
 
 ROWS = 50_000  # acceptance floor: ≥ 50k-row repartition INSERT..SELECT
 QUICK_ROWS = 12_000
@@ -142,28 +150,41 @@ SHAPES = {
 }
 
 
+def _median_run(runs: list) -> dict:
+    """The run with the median wall time (simulated figures are the same
+    in every run)."""
+    return sorted(runs, key=lambda r: r["wall_seconds"])[len(runs) // 2]
+
+
 def run(quick: bool = False) -> dict:
     rows = QUICK_ROWS if quick else ROWS
     flush_threshold = _cluster().coordinator_ext.config.copy_flush_threshold
     results: dict = {}
     for name, shape in SHAPES.items():
         shape(True, 1_000)  # warm the process before timing
-        streaming = shape(True, rows)
-        materialized = shape(False, rows)
+        pairs = []
+        for i in range(WALL_PAIRS):
+            order = (True, False) if i % 2 == 0 else (False, True)
+            runs = {streaming: shape(streaming, rows) for streaming in order}
+            pairs.append((runs[True], runs[False]))
+        wall_ratios = [m["wall_seconds"] / s["wall_seconds"] for s, m in pairs]
+        streaming = _median_run([s for s, _ in pairs])
+        materialized = _median_run([m for _, m in pairs])
         # The materialized plane holds every input row in its per-shard
         # batch dict before dispatch: its peak IS the input size.
         materialized["buffered_rows"] = rows
         results[name] = {
             "streaming": streaming,
             "materialized": materialized,
-            "wall_speedup": round(
-                materialized["wall_seconds"] / streaming["wall_seconds"], 2),
+            "wall_ratios": [round(r, 2) for r in wall_ratios],
+            "wall_speedup": round(statistics.median(wall_ratios), 2),
             "sim_speedup": round(
                 materialized["sim_seconds"] / streaming["sim_seconds"], 2),
         }
     return {
         "config": {"workers": 2, "shard_count": SHARDS, "rows": rows,
-                   "flush_threshold": flush_threshold, "quick": quick},
+                   "flush_threshold": flush_threshold, "quick": quick,
+                   "wall_pairs": WALL_PAIRS},
         "results": results,
     }
 
@@ -184,7 +205,8 @@ def main(argv=None) -> int:
         s, m = r["streaming"], r["materialized"]
         print(f"{name:>12}: streaming {s['rows_per_sec']:>9.1f}"
               f" vs materialized {m['rows_per_sec']:>9.1f} rows/sec"
-              f"  (wall {r['wall_speedup']:.2f}x, sim {r['sim_speedup']:.2f}x,"
+              f"  (wall {r['wall_speedup']:.2f}x median of {r['wall_ratios']},"
+              f" sim {r['sim_speedup']:.2f}x,"
               f" peak {s['copy_channel_peak_rows']}"
               f" vs {m['buffered_rows']} buffered)")
 
@@ -208,7 +230,7 @@ def main(argv=None) -> int:
             if r["wall_speedup"] < WALL_PARITY_FLOOR:
                 print(f"FAIL: {name} streaming wall time more than"
                       f" {1 / WALL_PARITY_FLOOR:.2f}x materialized"
-                      f" ({r['wall_speedup']:.2f}x)")
+                      f" (median pair ratio {r['wall_speedup']:.2f}x)")
                 failed = True
             if name == "repartition" and r["sim_speedup"] < 1.0:
                 print(f"FAIL: {name} streaming slower than materialized"

@@ -392,6 +392,16 @@ class StreamingExecution:
     connection it ran on — slow start and connection affinity apply
     exactly as on the blocking path — and :meth:`finish` advances the
     clock by the maximum busy time over connections.
+
+    A task costs one round trip when its result fits in one batch: the
+    dispatch response carries the first batch, so the dispatch step
+    (``Net.RemoteDispatch`` wait, ``dispatch`` span with a nested
+    ``batch`` child) holds that batch's transfer and per-row CPU. Only
+    the batches that cost their own round trip — later batches, and the
+    end-of-stream probe after a full last batch — are charged as
+    ``Net.RemoteFetch`` waits and top-level ``batch`` spans. Every
+    delivered batch, the first included, counts in ``batches_fetched``
+    and ``bytes_streamed`` when the merge pulls it.
     """
 
     def __init__(self, executor: AdaptiveExecutor, session, tasks, batch_size: int):
@@ -538,11 +548,16 @@ class StreamingExecution:
         except Exception:
             self._stream_finished(stream, failed=True)
             raise
+        # The dispatch response carries the first batch: its transfer and
+        # per-row CPU belong to the dispatch step.
+        cursor = stream.cursor
+        first_rows = len(cursor.prefetched) if cursor.prefetched else 0
+        first_cpu = first_rows * self.ext.config.per_row_cpu_cost
+        cost = (conn.elapsed - before) + first_cpu
         busy = state["busy"]
         start = busy.get(id(conn), 0.0)
-        busy[id(conn)] = start + (conn.elapsed - before)
-        self.session.wait_events.record("Net", "RemoteDispatch",
-                                        conn.elapsed - before,
+        busy[id(conn)] = start + cost
+        self.session.wait_events.record("Net", "RemoteDispatch", cost,
                                         node=conn.node_name)
         if self.graph is not None:
             # Read access recorded at dispatch (bytes accrue per fetch), so
@@ -550,15 +565,20 @@ class StreamingExecution:
             self.graph.note_access(self.session, conn.node_name,
                                    task.shard_group, False, 0)
         if self.tracer is not None:
+            end = busy[id(conn)]
             self._trace_events[stream.index] = {
                 "node": conn.node_name,
                 "group": task.shard_group,
-                "open": (start, busy[id(conn)]),
+                "open": (start, end),
+                "first": ((end - cursor.prefetch_elapsed - first_cpu, end,
+                           first_rows, cursor.prefetch_payload)
+                          if first_rows else None),
                 "batches": [],
             }
 
     def _fetch(self, stream: TaskStream):
         conn = stream.conn
+        trips = conn.round_trips
         before = conn.elapsed
         try:
             batch = stream.cursor.fetch_batch()
@@ -572,21 +592,24 @@ class StreamingExecution:
         except Exception:
             self._stream_finished(stream, failed=True)
             raise
-        state = self._node(conn.node_name)
-        cost = conn.elapsed - before
-        if batch:
-            cost += len(batch) * self.ext.config.per_row_cpu_cost
-        busy = state["busy"]
-        start = busy.get(id(conn), 0.0)
-        busy[id(conn)] = start + cost
-        self.session.wait_events.record("Net", "RemoteFetch", cost,
-                                        node=conn.node_name)
-        if self.tracer is not None and stream.index in self._trace_events:
-            self._trace_events[stream.index]["batches"].append(
-                (start, start + cost,
-                 len(batch) if batch else 0,
-                 stream.cursor.last_payload if batch else 0)
-            )
+        if conn.round_trips != trips:
+            # Only batches after the first cost their own round trip (the
+            # first was charged to the dispatch step).
+            state = self._node(conn.node_name)
+            cost = conn.elapsed - before
+            if batch:
+                cost += len(batch) * self.ext.config.per_row_cpu_cost
+            busy = state["busy"]
+            start = busy.get(id(conn), 0.0)
+            busy[id(conn)] = start + cost
+            self.session.wait_events.record("Net", "RemoteFetch", cost,
+                                            node=conn.node_name)
+            if self.tracer is not None and stream.index in self._trace_events:
+                self._trace_events[stream.index]["batches"].append(
+                    (start, start + cost,
+                     len(batch) if batch else 0,
+                     stream.cursor.last_payload if batch else 0)
+                )
         if batch is None:
             self._stream_finished(stream)
             return None
@@ -672,8 +695,16 @@ class StreamingExecution:
                 continue
             from ..tracing import Span
 
-            task_span.add(Span("dispatch", "network", base + open_start,
-                               base + open_end, node=events["node"]))
+            dispatch = task_span.add(Span("dispatch", "network",
+                                          base + open_start, base + open_end,
+                                          node=events["node"]))
+            first = events["first"]
+            if first is not None:
+                # The first batch rode the dispatch response.
+                b_start, b_end, rows, nbytes = first
+                dispatch.add(Span("batch", "network", base + b_start,
+                                  base + b_end, node=events["node"],
+                                  attrs={"rows": rows, "bytes": nbytes}))
             for b_start, b_end, rows, nbytes in events["batches"]:
                 task_span.add(Span("batch", "network", base + b_start,
                                    base + b_end, node=events["node"],

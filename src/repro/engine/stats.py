@@ -154,7 +154,12 @@ class StatsSnapshot:
         return dict(self.counters.get(name, ()))
 
     def diff(self, earlier: "StatsSnapshot") -> "StatsSnapshot":
-        """This snapshot minus an earlier one (zero entries dropped)."""
+        """This snapshot minus an earlier one (zero entries dropped).
+
+        A high-water-mark gauge diffs to its own value only when it was
+        cleared (:meth:`StatsRegistry.reset_peaks`) before ``earlier``
+        was taken; a difference of two peaks means nothing.
+        """
         counters = _subtract(self.counters, earlier.counters)
         gauges = _subtract(self.gauges, earlier.gauges)
         return StatsSnapshot(counters, gauges)
@@ -282,6 +287,12 @@ class StatsRegistry:
         self._drain_pending()
         self._counters.clear()
         self._histograms.clear()
+        self.reset_peaks()
+
+    def reset_peaks(self) -> None:
+        """Clear every high-water-mark gauge, so each next reports the
+        peak reached from now on (a run- or window-scoped peak)."""
+        self._drain_pending()
         for name in self._peaks:
             self._gauges.pop(name, None)
 

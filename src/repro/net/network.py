@@ -163,10 +163,17 @@ class RemoteConnection:
 
     def execute_cursor(self, stmt=None, params=None, batch_size: int = 256,
                        sql: str | None = None) -> "RemoteCursor":
-        """Open a worker-side cursor for a SELECT task; batches are then
-        pulled on demand via :meth:`RemoteCursor.fetch_batch`. Only the
-        dispatch round trip is charged here — each batch pays for its own
-        transfer at its actual byte size."""
+        """Open a worker-side cursor for a SELECT task.
+
+        The dispatch is one round trip whose response already carries the
+        first ``batch_size`` rows, priced at their actual byte size — the
+        extended protocol's Bind + Execute(max_rows) in one packet, as a
+        JDBC ``fetchSize`` query sends it. A task whose result fits in one
+        batch therefore costs exactly what :meth:`execute_parsed` costs;
+        later batches are pulled on demand via
+        :meth:`RemoteCursor.fetch_batch`. Errors and lock waits raised
+        while the first batch is produced surface from this call.
+        """
         if self.closed:
             raise NodeUnavailable(f"connection to {self.node_name} is closed")
         self.round_trips += 1
@@ -228,11 +235,17 @@ class RemoteConnection:
 class RemoteCursor:
     """A pull-based remote result stream over one connection.
 
-    Each ``fetch_batch()`` is a round trip charged at the batch's actual
-    byte size (bandwidth-aware). ``close()`` before exhaustion sends a
-    small CLOSE message and drops the worker-side cursor without
-    transferring the remaining rows — the early-termination primitive the
-    streaming coordinator merge relies on.
+    The first batch arrives with the dispatch response (see
+    :meth:`RemoteConnection.execute_cursor`): it is held in
+    :attr:`prefetched` and handed out by the first ``fetch_batch()`` with
+    no further round trip. Every later ``fetch_batch()`` is one round trip
+    charged at the batch's actual byte size. A batch shorter than
+    ``batch_size`` — the first one included, even an empty one — marks
+    the stream exhausted in-band; after a full last batch, observing
+    end-of-stream costs one bare round trip. ``close()`` before
+    exhaustion sends a small CLOSE message and drops the worker-side
+    cursor without transferring the remaining rows — the
+    early-termination primitive the streaming coordinator merge relies on.
     """
 
     def __init__(self, conn: RemoteConnection, engine_cursor: EngineCursor,
@@ -244,8 +257,17 @@ class RemoteCursor:
         self.batches_fetched = 0
         self.rows_fetched = 0
         self.last_payload = 0
-        self.exhausted = False
         self.closed = False
+        # The dispatch response's payload: the first batch, bandwidth-
+        # charged on the dispatch round trip already counted.
+        rows = engine_cursor.fetch(self.batch_size)
+        self.exhausted = len(rows) < self.batch_size
+        self.prefetched = rows or None
+        self.prefetch_payload = sum(estimate_row_bytes(r) for r in rows)
+        conn.bytes_transferred += self.prefetch_payload
+        #: Wire time of the first batch inside the dispatch round trip.
+        self.prefetch_elapsed = conn.network.note_transfer(self.prefetch_payload)
+        conn.elapsed += self.prefetch_elapsed
 
     @property
     def columns(self):
@@ -253,39 +275,44 @@ class RemoteCursor:
 
     def fetch_batch(self):
         """Next batch of rows, or None once the stream is exhausted."""
-        if self.closed or self.exhausted:
+        if self.closed or (self.exhausted and self.prefetched is None):
             return None
         if self.conn.closed:
             raise NodeUnavailable(
                 f"connection to {self.conn.node_name} is closed"
             )
-        rows = self._cursor.fetch(self.batch_size)
-        if not rows:
-            self.exhausted = True
-            # Observing end-of-stream costs a bare round trip.
+        rows = self.prefetched
+        if rows is not None:
+            self.prefetched = None
+            payload = self.prefetch_payload
+        else:
+            rows = self._cursor.fetch(self.batch_size)
+            if not rows:
+                self.exhausted = True
+                # Observing end-of-stream costs a bare round trip.
+                self.conn.round_trips += 1
+                self.conn.bytes_transferred += _ROW_OVERHEAD
+                self.conn.elapsed += self.conn.network.note_round_trip(_ROW_OVERHEAD)
+                self.last_payload = 0
+                return None
+            payload = sum(estimate_row_bytes(r) for r in rows)
             self.conn.round_trips += 1
-            self.conn.bytes_transferred += _ROW_OVERHEAD
-            self.conn.elapsed += self.conn.network.note_round_trip(_ROW_OVERHEAD)
-            self.last_payload = 0
-            return None
-        payload = sum(estimate_row_bytes(r) for r in rows)
-        self.conn.round_trips += 1
-        self.conn.bytes_transferred += payload
-        self.conn.elapsed += self.conn.network.note_round_trip(payload)
+            self.conn.bytes_transferred += payload
+            self.conn.elapsed += self.conn.network.note_round_trip(payload)
+            # A short batch signals end-of-stream in-band: no extra round
+            # trip needed to observe exhaustion.
+            self.exhausted = len(rows) < self.batch_size
         self.last_payload = payload
         self.bytes_fetched += payload
         self.batches_fetched += 1
         self.rows_fetched += len(rows)
-        if len(rows) < self.batch_size:
-            # A short batch signals end-of-stream in-band: no extra round
-            # trip needed to observe exhaustion.
-            self.exhausted = True
         return rows
 
     def close(self) -> None:
         if self.closed:
             return
         self.closed = True
+        self.prefetched = None
         if not self.exhausted and not self.conn.closed:
             self.conn.round_trips += 1
             self.conn.bytes_transferred += _ROW_OVERHEAD

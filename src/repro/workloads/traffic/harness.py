@@ -267,14 +267,16 @@ class TrafficHarness:
         self.prepare()
         cfg = self.config
         clock = self.citus.cluster.clock
-        # Scope telemetry to this run: statement stats restart, counters
-        # are diffed against a snapshot.
+        # Scope telemetry to this run: statement stats restart, peaks
+        # restart (prepare()'s loads raise them), counters are diffed
+        # against a snapshot.
         session = self.citus.coordinator_session("traffic_admin")
         try:
             session.execute("SELECT citus_stat_statements_reset()")
         finally:
             session.close()
         registry = stats_for(self.citus.cluster)
+        registry.reset_peaks()
         self._snap0 = registry.snapshot()
         self._sim_start = clock.now()
         deadline = self._sim_start + cfg.sim_duration

@@ -74,6 +74,19 @@ class TestRegistryPrimitives:
         assert delta.value("moved") == 1
         assert "stable" not in delta.counters
 
+    def test_reset_peaks_scopes_a_window(self):
+        r = StatsRegistry()
+        r.gauge_max("peak", 480)  # e.g. raised by an earlier bulk load
+        r.gauge_incr("level", 3)
+        r.reset_peaks()
+        assert r.gauge("peak") == 0
+        assert r.gauge("level") == 3  # live levels survive
+        with r.measure() as m:
+            r.gauge_max("peak", 32)
+            r.gauge_incr("level", 2)
+        assert m.gauge("peak") == 32  # the window's own peak
+        assert m.gauge("level") == 2
+
     def test_stats_for_shares_one_registry_per_holder(self):
         class Holder:
             pass

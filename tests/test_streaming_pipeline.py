@@ -154,6 +154,86 @@ class TestStreamingCounters:
             assert counters.get(("tasks_in_flight", worker), 0) == 0
 
 
+class TestFirstBatchRidesDispatch:
+    """The dispatch response carries each stream's first batch, so every
+    dispatched stream makes one fewer trip-costing fetch than a
+    DECLARE-then-FETCH protocol would, while what the merge sees is the
+    same."""
+
+    def _run(self, citus, session, sql):
+        ext = citus.coordinator_ext
+        with ext.stat_counters.measure() as delta:
+            result = session.execute(sql)
+        trace = ext.tracer.buffer[-1]
+        dispatched = [sp for sp in trace.find("executor", "task")
+                      if not sp.attrs.get("skipped")]
+        return result, delta, ext.executor.last_report, dispatched
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT k, v FROM events WHERE v < 30",
+        "SELECT k, label FROM events",
+    ])
+    def test_drained_streams(self, citus, big, sql):
+        from repro.net.network import estimate_row_bytes
+
+        b = citus.coordinator_ext.config.stream_batch_size
+        result, delta, report, dispatched = self._run(citus, big, sql)
+        per_task = [sp.attrs["rows"] for sp in dispatched]
+        assert len(dispatched) == 8 and sum(per_task) == len(result.rows)
+        # Fetch-per-batch would cost n // b + 1 fetch trips for n rows
+        # (n // b full batches, then a short batch or the end-of-stream
+        # probe); the dispatch carries one of them.
+        assert delta.value("wait_count:Net.RemoteFetch") == (
+            sum(n // b + 1 for n in per_task) - len(dispatched))
+        assert delta.value("wait_count:Net.RemoteDispatch") == len(dispatched)
+        assert report.batches_fetched == sum(-(-n // b) for n in per_task)
+        assert report.bytes_streamed == sum(
+            estimate_row_bytes(r) for r in result.rows)
+        assert report.tasks_skipped == 0
+
+    def test_limit_streams(self, citus, big):
+        # The workers apply the pushed-down LIMIT, so every shard stream
+        # is one short batch that the dispatch alone delivers.
+        _, delta, report, dispatched = self._run(
+            citus, big, "SELECT k FROM events ORDER BY v, k LIMIT 10")
+        assert len(dispatched) == 8
+        assert delta.value("wait_count:Net.RemoteFetch") == 0
+        assert report.batches_fetched == 8
+        assert report.rows_buffered_peak == 8 * 10
+        # LIMIT without ORDER BY: one stream dispatched, seven skipped.
+        _, delta, report, dispatched = self._run(
+            citus, big, "SELECT k FROM events LIMIT 5")
+        assert len(dispatched) == 1 and report.tasks_skipped == 7
+        assert delta.value("wait_count:Net.RemoteFetch") == 0
+        assert report.batches_fetched == 1
+        assert report.rows_buffered_peak == 5
+
+    def test_trace_nests_first_batch_in_dispatch(self, citus, big):
+        _, _, report, dispatched = self._run(
+            citus, big, "SELECT k, v FROM events WHERE v < 30")
+        for task in dispatched:
+            dispatch = [c for c in task.children if c.name == "dispatch"]
+            assert len(dispatch) == 1
+            first = dispatch[0].children
+            assert [c.name for c in first] == ["batch"]
+            assert first[0].attrs["rows"] == task.attrs["rows"]
+            assert dispatch[0].start <= first[0].start <= first[0].end
+            assert first[0].end == dispatch[0].end
+            # A short first batch ends the stream in-band: no fetch spans.
+            assert not [c for c in task.children if c.name == "batch"]
+
+    def test_error_in_first_batch_settles_gauges(self, citus, big):
+        before = counter_total(big, "tasks_failed")
+        with pytest.raises(Exception, match="division by zero"):
+            big.execute("SELECT k / (v - v) FROM events")
+        assert counter_total(big, "tasks_failed") == before + 1
+        counters = counters_dict(big)
+        assert counters.get(("executor_statements_in_flight", None), 0) == 0
+        for worker in citus.worker_names():
+            assert counters.get(("tasks_in_flight", worker), 0) == 0
+        assert big.execute("SELECT count(*) FROM events").scalar() == 10_000
+
+
 # ------------------------------------------------------------------ parity
 
 
@@ -211,6 +291,64 @@ class TestStreamingMaterializedParity:
         assert first == again
         report = citus.coordinator_ext.executor.last_report
         assert report.batches_fetched > 0  # replay went through streams
+
+
+PLANE_COST_QUERIES = {
+    "topn": "SELECT f_id, amount FROM facts WHERE cat = 3"
+            " ORDER BY amount DESC, f_id LIMIT 10",
+    "ref_join": "SELECT d.region, count(*), sum(f.amount) FROM facts f"
+                " JOIN dims d ON f.cat = d.d_id WHERE f.day = 2"
+                " GROUP BY d.region ORDER BY d.region",
+    "colocated_join": "SELECT count(*), sum(i.qty * i.price) FROM facts f"
+                      " JOIN items i ON f.f_id = i.f_id WHERE f.cust_id < 40",
+}
+
+
+class TestPlaneCostParity:
+    """A multi-shard SELECT whose shard results each fit in one batch
+    costs the streaming plane no more simulated time than the
+    materializing plane."""
+
+    @pytest.fixture
+    def facts(self, citus):
+        s = citus.coordinator_session()
+        s.execute("CREATE TABLE facts (f_id int PRIMARY KEY, cust_id int,"
+                  " cat int, amount int, day int)")
+        s.execute("SELECT create_distributed_table('facts', 'f_id')")
+        s.execute("CREATE TABLE items (f_id int, line int, qty int,"
+                  " price int, PRIMARY KEY (f_id, line))")
+        s.execute("SELECT create_distributed_table('items', 'f_id',"
+                  " colocate_with := 'facts')")
+        s.execute("CREATE TABLE dims (d_id int PRIMARY KEY, region int)")
+        s.execute("SELECT create_reference_table('dims')")
+        s.copy_rows("facts", [[i, i % 97, i % 20, (i * 37) % 1000, i % 7]
+                              for i in range(2000)])
+        s.copy_rows("items", [[i, line, 1 + (i + line) % 9, 1 + i % 99]
+                              for i in range(2000) for line in range(i % 3)])
+        s.copy_rows("dims", [[d, d % 5] for d in range(20)])
+        return s
+
+    @pytest.mark.parametrize("shape", sorted(PLANE_COST_QUERIES))
+    def test_streaming_costs_no_more_than_materialized(self, citus, facts,
+                                                       shape):
+        sql = PLANE_COST_QUERIES[shape]
+        clock = citus.cluster.clock
+
+        def timed(run):
+            run()  # warm: pooled connections, caches
+            start = clock.now()
+            result = run()
+            return result, clock.now() - start
+
+        streamed, t_stream = timed(lambda: facts.execute(sql))
+        materialized, t_mat = timed(
+            lambda: run_materialized(citus, facts, sql))
+        assert streamed.columns == materialized.columns
+        assert streamed.rows == materialized.rows and streamed.rows
+        # Compared at nanosecond resolution: the two differences are taken
+        # at different absolute clock readings, so they round differently
+        # in the last float digits.
+        assert 0 < round(t_stream, 9) <= round(t_mat, 9)
 
 
 # ----------------------------------------------------------------- EXPLAIN
@@ -316,7 +454,7 @@ class TestEngineCursor:
 class TestRemoteCursor:
     def _cluster_conn(self):
         cluster = make_cluster(workers=1, shard_count=2)
-        worker = cluster.cluster.node("worker1")
+        self.cluster = cluster
         conn = cluster.cluster.connect("worker1")
         session = conn.session
         session.execute("CREATE TABLE w (k int, pad text)")
@@ -330,17 +468,54 @@ class TestRemoteCursor:
 
         trips_before = conn.round_trips
         cursor = conn.execute_cursor(parse("SELECT k, pad FROM w")[0], batch_size=10)
-        assert conn.round_trips == trips_before + 1  # dispatch only
+        # The dispatch response carries batch 1: one trip for both.
+        assert conn.round_trips == trips_before + 1
         b1 = cursor.fetch_batch()
         assert len(b1) == 10
-        assert conn.round_trips == trips_before + 2
+        assert conn.round_trips == trips_before + 1
         assert cursor.last_payload > 0
         assert cursor.bytes_fetched == cursor.last_payload
-        while cursor.fetch_batch() is not None:
-            pass
+        assert len(cursor.fetch_batch()) == 10
+        assert conn.round_trips == trips_before + 2
+        assert len(cursor.fetch_batch()) == 10
+        assert conn.round_trips == trips_before + 3
+        # A full last batch: observing end-of-stream costs one more trip.
+        assert cursor.fetch_batch() is None
+        assert conn.round_trips == trips_before + 4
         assert cursor.exhausted
         assert cursor.rows_fetched == 30
         assert cursor.batches_fetched == 3
+
+    @pytest.mark.parametrize("where, rows", [("k < 4", 4), ("k < 0", 0)])
+    def test_short_or_empty_result_costs_one_trip(self, where, rows):
+        """A result that fits in the first batch costs exactly what the
+        blocking ``execute_parsed`` of the same statement costs."""
+        conn = self._cluster_conn()
+        blocking = self.cluster.cluster.connect("worker1")
+        from repro.sql import parse
+
+        stmt = parse(f"SELECT k, pad FROM w WHERE {where}")[0]
+        cursor = conn.execute_cursor(stmt, batch_size=10)
+        assert cursor.exhausted  # short/empty first batch: in-band EOF
+        drained = []
+        while (batch := cursor.fetch_batch()) is not None:
+            drained.extend(batch)
+        cursor.close()
+        result = blocking.execute_parsed(stmt)
+        assert drained == result.rows and len(drained) == rows
+        assert conn.round_trips == blocking.round_trips == 1
+        assert conn.elapsed == blocking.elapsed
+        assert conn.bytes_transferred == blocking.bytes_transferred
+
+    def test_error_in_first_batch_raises_from_dispatch(self):
+        conn = self._cluster_conn()
+        from repro.errors import SQLError
+        from repro.sql import parse
+
+        with pytest.raises(SQLError):
+            conn.execute_cursor(parse("SELECT 1 / (k - k) FROM w")[0],
+                                batch_size=10)
+        assert conn.round_trips == 1  # the request crossed the wire
 
     def test_bigger_rows_cost_more(self):
         from repro.net.network import estimate_row_bytes
@@ -353,13 +528,25 @@ class TestRemoteCursor:
         from repro.sql import parse
 
         cursor = conn.execute_cursor(parse("SELECT k FROM w")[0], batch_size=5)
-        cursor.fetch_batch()
         trips = conn.round_trips
+        assert len(cursor.fetch_batch()) == 5  # the folded first batch
+        assert conn.round_trips == trips
         elapsed = conn.elapsed
         cursor.close()
         assert conn.round_trips == trips + 1  # CLOSE message
         assert conn.elapsed > elapsed
         assert cursor.fetch_batch() is None
+
+    def test_close_before_first_fetch_charges_close(self):
+        conn = self._cluster_conn()
+        from repro.sql import parse
+
+        cursor = conn.execute_cursor(parse("SELECT k FROM w")[0], batch_size=5)
+        trips = conn.round_trips
+        cursor.close()
+        assert conn.round_trips == trips + 1
+        assert cursor.fetch_batch() is None
+        assert cursor.batches_fetched == 0
 
     def test_fetch_on_closed_connection_raises(self):
         conn = self._cluster_conn()

@@ -8,6 +8,7 @@ import json
 import pytest
 
 from repro import make_cluster
+from repro.engine.stats import stats_for
 from repro.workloads.traffic import (
     CounterRule,
     LatencyRule,
@@ -157,6 +158,27 @@ class TestSloEvaluation:
             [], counters,
         )
         assert [r["passed"] for r in verdict["rules"]] == [True, True, False]
+
+    def test_peak_rule_sees_the_run_peak(self, smoke_run):
+        """Peaks are run-scoped: prepare()'s bulk loads raise
+        ``copy_channel_peak_rows`` far above what the run's COPY channels
+        reach, yet the rule must see the run's own peak and can trip."""
+        harness, _ = smoke_run
+        counters = harness.counter_delta()
+        peak = counters.get("copy_channel_peak_rows", 0)
+        assert counters.get("copy_flushes", 0) > 0
+        assert 0 < peak == stats_for(harness.citus.cluster).gauge(
+            "copy_channel_peak_rows")
+        verdict = evaluate_slo(
+            [
+                CounterRule("below the run peak", "copy_channel_peak_rows",
+                            peak - 1),
+                CounterRule("at the run peak", "copy_channel_peak_rows", peak),
+            ],
+            [], counters,
+        )
+        assert [r["passed"] for r in verdict["rules"]] == [False, True]
+        assert verdict["rules"][0]["observed"] == peak
 
 
 class TestConfigValidation:
