@@ -17,6 +17,13 @@ Execution is functionally sequential (single-threaded simulation) but the
 timeline is reconstructed as if parallel: each task's measured cost is
 charged to its connection, and the statement's elapsed time is the maximum
 over connections, which is what the simulated clock advances by.
+
+One :class:`_Timeline` per statement holds that policy and the connection
+accounting. Three execution shapes drive it: the blocking task list
+(:meth:`AdaptiveExecutor.execute_tasks`), read streams
+(:class:`StreamingExecution`) and COPY channels
+(:class:`CopyChannelExecution`). They differ only in the order they place
+work, what a task, batch or flush costs, and how far they advance the clock.
 """
 
 from __future__ import annotations
@@ -31,7 +38,9 @@ from .placement import SessionPools
 @dataclass
 class ExecutionReport:
     """Telemetry for one distributed statement (consumed by tests and the
-    performance model)."""
+    performance model). ``connections_used`` counts the connections the
+    statement placed work on, not every connection cached for the
+    session."""
 
     task_count: int = 0
     connections_used: int = 0
@@ -52,6 +61,202 @@ class ExecutionReport:
     copy_channel_peak_rows: int = 0
 
 
+class _NodeConns:
+    """One worker's connections within a statement: each connection's busy
+    time (an offset into the statement's timeline), the ones cached before
+    the statement began, and the ones it charged work to."""
+
+    __slots__ = ("conns", "busy", "preexisting", "used")
+
+    def __init__(self, conns: list):
+        self.conns = conns
+        self.busy = {id(c): 0.0 for c in conns}
+        self.preexisting = {id(c) for c in conns}
+        self.used: set[int] = set()
+
+
+class _Timeline:
+    """One statement's connection timeline, shared by every execution shape.
+
+    It opens connections (shared-slot reservation, ``Net.RemoteConnect``
+    wait, ``connect`` span), applies shard-group affinity and slow start
+    when work is placed, charges busy time to connections, enlists them in
+    the transaction block, keeps the per-task in-flight accounting, and
+    settles the statement: elapsed time, used and reused connections,
+    session stats, ``last_report`` and the transaction graph. The shape
+    advances the simulated clock itself before :meth:`settle`.
+    """
+
+    def __init__(self, executor: "AdaptiveExecutor", session, task_count: int):
+        ext = executor.ext
+        self.executor = executor
+        self.ext = ext
+        self.session = session
+        self.pools = SessionPools.for_session(session, ext)
+        self.counters = ext.stat_counters
+        self.report = ExecutionReport(task_count=task_count)
+        self.nodes: dict[str, _NodeConns] = {}
+        # Tracing: connect events (offsets into this statement's timeline),
+        # emitted as spans anchored at the statement's start time.
+        tracer = ext.tracer
+        if tracer is None or not tracer.active or ext.cluster is None:
+            tracer = None
+        self.tracer = tracer
+        self.trace_base = ext.cluster.clock.now() if tracer is not None else 0.0
+        self._connects: list[tuple] = []
+        self.graph = ext.txn_graph
+        if self.graph is not None:
+            self.graph.statement_begin()
+        self.counters.incr("executor_statements")
+        self.counters.gauge_incr("executor_statements_in_flight")
+
+    # ------------------------------------------------------- connections
+
+    def _node(self, node: str) -> _NodeConns:
+        state = self.nodes.get(node)
+        if state is None:
+            state = self.nodes[node] = _NodeConns(
+                list(self.pools.idle_connections(node)))
+        return state
+
+    def _open(self, node: str, state: _NodeConns, now: float):
+        # The shared pool limit never starves a statement of its first
+        # connection; beyond that, respect the limit strictly.
+        if not self.ext.try_reserve_shared_slot(node, force=not state.conns):
+            return None
+        try:
+            conn = self.pools.open_connection(node)
+        except NodeUnavailable:
+            self.ext.release_shared_slot(node)
+            raise
+        setup = self.ext.cluster.network.connection_setup_cost()
+        state.conns.append(conn)
+        state.busy[id(conn)] = now + setup
+        self.report.connections_opened += 1
+        self.counters.incr("connections_opened", node=node)
+        self.session.wait_events.record("Net", "RemoteConnect", setup, node=node)
+        if self.tracer is not None:
+            self._connects.append((node, now, now + setup))
+        return conn
+
+    def pinned(self, node: str, shard_group):
+        """The connection that already touched ``shard_group`` in this
+        transaction, which must run every later task on it; else None."""
+        conn = self.pools.connection_for_group(node, shard_group)
+        if conn is not None:
+            state = self._node(node)
+            if id(conn) not in state.busy:
+                state.conns.append(conn)
+                state.busy[id(conn)] = 0.0
+                state.preexisting.add(id(conn))
+        return conn
+
+    def pick(self, node: str, remaining: int):
+        """Slow start (§3.6.1): take the earliest-free connection, but open
+        another when the pool target — one more per interval of simulated
+        time, capped by ``remaining`` (tasks still to place on ``node``,
+        this one included) plus the connections still busy — allows it.
+        The check also runs right after a node's first connection opens."""
+        state = self._node(node)
+        conns, busy = state.conns, state.busy
+        if not conns:
+            self._open(node, state, 0.0)
+        conn = min(conns, key=lambda c: busy[id(c)])
+        now = busy[id(conn)]
+        allowance = 1 + int(now / self.executor.slow_start_interval)
+        in_use = sum(1 for c in conns if busy[id(c)] > now)
+        if len(conns) < min(allowance, remaining + in_use):
+            conn = self._open(node, state, now) or conn
+        return conn
+
+    @staticmethod
+    def pin(conn, shard_group) -> None:
+        if shard_group is not None:
+            conn.accessed_groups.add(shard_group)
+
+    def place(self, node: str, shard_group, remaining: int):
+        """Affinity first, else slow start; the chosen connection is pinned
+        to the shard group for the rest of the transaction."""
+        conn = self.pinned(node, shard_group) or self.pick(node, remaining)
+        self.pin(conn, shard_group)
+        return conn
+
+    def charge(self, conn, cost: float) -> float:
+        """Charge ``cost`` of busy time to ``conn``; returns its start."""
+        state = self.nodes[conn.node_name]
+        start = state.busy[id(conn)]
+        state.busy[id(conn)] = start + cost
+        state.used.add(id(conn))
+        return start
+
+    def enlist(self, conn, write: bool) -> None:
+        """Join ``conn`` to the session's distributed transaction block."""
+        conn.begin_if_needed()
+        self.session.remote_txns[id(conn)] = conn
+        if write:
+            conn.did_write = True
+        # Tag the worker transaction with the distributed txn id up front
+        # so deadlock detection can merge the lock graphs even while this
+        # statement is still waiting.
+        conn.session.ensure_xid()
+        from ..txn.deadlock import assign_distributed_txn_ids
+
+        assign_distributed_txn_ids(self.ext, self.session)
+
+    # ------------------------------------------------------------ tasks
+
+    def task_started(self, node: str) -> None:
+        self.counters.gauge_incr("tasks_in_flight", node=node)
+
+    def task_ended(self, node: str, outcome: str = "executed") -> None:
+        """``outcome`` is ``executed``, ``failed`` or ``blocked`` (a lock
+        wait: the statement suspends, which is not a task failure)."""
+        self.counters.gauge_decr("tasks_in_flight", node=node)
+        self.counters.incr(f"tasks_{outcome}", node=node)
+
+    # ------------------------------------------------------------ finish
+
+    def elapsed(self) -> float:
+        """The statement's elapsed time: the latest busy time over all of
+        its connections."""
+        return max((max(state.busy.values(), default=0.0)
+                    for state in self.nodes.values()), default=0.0)
+
+    def settle(self, failed: bool) -> ExecutionReport:
+        """Statement-end accounting; the shape has advanced the clock. A
+        failed statement's accesses are dropped from the transaction graph
+        and its shard-group pins are left to the abort path."""
+        report = self.report
+        report.elapsed = self.elapsed()
+        for node, state in self.nodes.items():
+            report.per_node_connections[node] = len(state.used)
+            reused = len(state.used & state.preexisting)
+            if reused:
+                report.connections_reused += reused
+                self.counters.incr("connections_reused", reused, node=node)
+        report.connections_used = sum(report.per_node_connections.values())
+        tracer, base = self.tracer, self.trace_base
+        for node, start, end in self._connects:
+            tracer.add_span("connect", "network", base + start, base + end,
+                            node=node)
+        self.session.stats["citus_tasks"] += report.task_count
+        self.session.stats["citus_connections"] += report.connections_opened
+        self.counters.gauge_decr("executor_statements_in_flight")
+        self.executor.last_report = report
+        if self.graph is not None:
+            if failed:
+                self.graph.discard_statement(self.session)
+            else:
+                self.graph.statement_done(self.session, report.elapsed)
+        if not failed and not self.session.in_transaction:
+            # Shard-group affinity only matters within a transaction; drop
+            # it so cached connections don't accumulate stale pins.
+            for conn in self.pools.all_connections():
+                if not conn.in_txn_block:
+                    conn.accessed_groups.clear()
+        return report
+
+
 class AdaptiveExecutor:
     def __init__(self, ext):
         self.ext = ext
@@ -61,233 +266,107 @@ class AdaptiveExecutor:
     # ------------------------------------------------------------ public
 
     def execute_tasks(self, session, tasks, is_write: bool = False):
-        """Run tasks, return a list of QueryResults aligned with tasks."""
-        pools = SessionPools.for_session(session, self.ext)
-        report = ExecutionReport(task_count=len(tasks))
-        counters = self.ext.stat_counters
-        counters.incr("executor_statements")
-        need_txn_block = is_write and (session.in_transaction or _multi_group(tasks))
-        if session.in_transaction:
-            need_txn_block = True
+        """Run tasks, return a list of QueryResults aligned with tasks.
 
+        Worker by worker, the tasks pinned to a connection by transaction
+        affinity run first, one connection's tasks at a time; the rest are
+        placed by slow start."""
+        timeline = _Timeline(self, session, len(tasks))
+        need_txn_block = session.in_transaction or (is_write and _multi_group(tasks))
         results: list = [None] * len(tasks)
         by_node: dict[str, list[int]] = {}
         for i, task in enumerate(tasks):
             by_node.setdefault(task.node, []).append(i)
-
-        # Tracing: collect per-task/per-connect timeline events (offsets
-        # into this statement's reconstructed-parallel timeline) and emit
-        # them as spans anchored at the statement's start time.
-        tracer = self.ext.tracer
-        if tracer is None or not tracer.active or self.ext.cluster is None:
-            tracer = None
-        events: list | None = [] if tracer is not None else None
-        base = self.ext.cluster.clock.now() if tracer is not None else 0.0
-
-        graph = self.ext.txn_graph
-        if graph is not None:
-            graph.statement_begin()
-
-        node_elapsed = []
+        events: list | None = [] if timeline.tracer is not None else None
+        failed = True
         try:
-            with counters.track("executor_statements_in_flight"):
-                for node, indexes in by_node.items():
-                    elapsed = self._run_node_tasks(
-                        session, pools, node, [(i, tasks[i]) for i in indexes],
-                        results, need_txn_block, report, is_write, events,
-                    )
-                    node_elapsed.append(elapsed)
-        except BaseException:
-            # Failed (or parked-and-retried) statement: its accesses must
-            # not count toward the transaction's co-access set.
-            if graph is not None:
-                graph.discard_statement(session)
-            raise
+            for node, indexes in by_node.items():
+                self._run_node_tasks(timeline, node,
+                                     [(i, tasks[i]) for i in indexes], results,
+                                     need_txn_block, is_write, events)
+            failed = False
         finally:
-            if tracer is not None:
-                self._emit_task_spans(tracer, base, events, results)
-        report.elapsed = max(node_elapsed, default=0.0)
-        if self.ext.cluster is not None:
-            self.ext.cluster.clock.advance(report.elapsed)
-        report.connections_used = sum(report.per_node_connections.values())
-        session.stats["citus_tasks"] += len(tasks)
-        session.stats["citus_connections"] += report.connections_opened
-        self.last_report = report
-        if graph is not None:
-            graph.statement_done(session, report.elapsed)
-        if not session.in_transaction and not need_txn_block:
-            # Shard-group affinity only matters within a transaction; drop
-            # it so cached connections don't accumulate stale pins.
-            for conn in pools.all_connections():
-                if not conn.in_txn_block:
-                    conn.accessed_groups.clear()
+            # A failed (or parked-and-retried) statement leaves the clock
+            # alone, and its accesses do not count toward the transaction's
+            # co-access set.
+            if not failed and self.ext.cluster is not None:
+                self.ext.cluster.clock.advance(timeline.elapsed())
+            timeline.settle(failed)
+            if events is not None:
+                self._emit_task_spans(timeline, events, results)
         return results
 
     # ------------------------------------------------------- per node run
 
-    def _emit_task_spans(self, tracer, base: float, events: list, results) -> None:
-        """Turn recorded timeline events into spans. Offsets are relative
-        to the statement start (``base``), matching the executor's
-        reconstructed-parallel timeline."""
-        for event in events:
-            kind = event[0]
-            if kind == "connect":
-                _, node, start, end = event
-                tracer.add_span("connect", "network", base + start, base + end,
-                                node=node)
-            else:
-                _, i, node, start, cost, queued, nbytes, group = event
-                result = results[i]
-                rows = 0
-                if result is not None:
-                    rows = result.rowcount or len(result.rows)
-                tracer.add_span(
-                    "task", "executor", base + start, base + start + cost,
-                    node=node, index=i, rows=rows, bytes=nbytes,
-                    queued_ms=queued * 1000.0,
-                    shard_group=group, retries=0,
-                )
+    def _emit_task_spans(self, timeline: _Timeline, events: list, results) -> None:
+        """Turn recorded task events into spans. Offsets are relative to
+        the statement start, matching the reconstructed-parallel timeline."""
+        tracer, base = timeline.tracer, timeline.trace_base
+        for i, node, start, cost, nbytes, group in events:
+            result = results[i]
+            rows = 0
+            if result is not None:
+                rows = result.rowcount or len(result.rows)
+            tracer.add_span(
+                "task", "executor", base + start, base + start + cost,
+                node=node, index=i, rows=rows, bytes=nbytes,
+                queued_ms=start * 1000.0, shard_group=group, retries=0,
+            )
 
-    def _run_node_tasks(self, session, pools: SessionPools, node, indexed_tasks,
-                        results, need_txn_block, report, is_write=False,
-                        events: list | None = None) -> float:
-        # Phase 1: tasks with transaction affinity MUST run on the
-        # connection that already touched their shard group.
+    def _run_node_tasks(self, timeline: _Timeline, node, indexed_tasks, results,
+                        need_txn_block, is_write, events: list | None) -> None:
+        # Tasks with transaction affinity MUST run on the connection that
+        # already touched their shard group.
+        pinned: dict[int, list] = {}  # id(conn) -> [(conn, i, task)]
         general: list = []
-        assigned: dict[int, list] = {}  # id(conn) -> [(i, task)]
         for i, task in indexed_tasks:
-            conn = pools.connection_for_group(node, task.shard_group)
+            conn = timeline.pinned(node, task.shard_group)
             if conn is not None:
-                assigned.setdefault(id(conn), []).append((conn, i, task))
+                pinned.setdefault(id(conn), []).append((conn, i, task))
             else:
                 general.append((i, task))
-
-        # Phase 2: timeline simulation with slow start for the general pool.
-        counters = self.ext.stat_counters
-        existing = pools.idle_connections(node)
-        conns = list(existing)
-        preexisting = {id(c) for c in conns} | set(assigned)
-        used_conn_ids: set[int] = set()
-        opened_this_statement = 0
-        busy: dict[int, float] = {id(c): 0.0 for c in conns}
-
-        def open_connection(now: float):
-            nonlocal opened_this_statement
-            # The shared pool limit never starves a statement of its first
-            # connection; beyond that, respect the limit strictly.
-            if not self.ext.try_reserve_shared_slot(node, force=not conns):
-                return None
-            try:
-                conn = pools.open_connection(node)
-            except NodeUnavailable:
-                self.ext.release_shared_slot(node)
-                raise
-            setup = self.ext.cluster.network.connection_setup_cost()
-            conns.append(conn)
-            busy[id(conn)] = now + setup
-            opened_this_statement += 1
-            report.connections_opened += 1
-            counters.incr("connections_opened", node=node)
-            session.wait_events.record("Net", "RemoteConnect", setup, node=node)
-            if events is not None:
-                events.append(("connect", node, now, busy[id(conn)]))
-            return conn
-
         # Lock waits may only suspend single-task statements (router / fast
         # path); multi-task statements surface waits as lock timeouts.
-        allow_block = report.task_count == 1
-
-        # Run affinity-assigned tasks first on their own connections.
-        conn_ids = {id(c) for c in conns}
-        for bundle in assigned.values():
-            for conn, i, task in bundle:
-                start = busy.get(id(conn), 0.0)
-                bytes_before = conn.bytes_transferred
-                cost = self._execute_on(session, conn, task, results, i,
-                                        need_txn_block, allow_block, is_write)
-                if events is not None:
-                    events.append(("task", i, conn.node_name, start, cost, start,
-                                   conn.bytes_transferred - bytes_before,
-                                   task.shard_group))
-                busy[id(conn)] = start + cost
-                used_conn_ids.add(id(conn))
-                if id(conn) not in conn_ids:
-                    conns.append(conn)
-                    conn_ids.add(id(conn))
-
-        # General pool with slow start: connections may be opened as
-        # simulated time passes (n grows by 1 every interval).
-        if general and not conns:
-            open_connection(0.0)
-        pending = list(general)
-        while pending:
-            if not conns:
-                raise NodeUnavailable(f"no connection available to {node}")
-            # earliest-free connection
-            conn = min(conns, key=lambda c: busy[id(c)])
-            now = busy[id(conn)]
-            # Slow start: the connection-pool target grows by one every
-            # interval; the pool is increased by min(n, pending) (§3.6.1).
-            allowance = 1 + int(now / self.slow_start_interval)
-            target = min(allowance, len(pending) + sum(1 for c in conns if busy[id(c)] > now))
-            if len(conns) < target:
-                new_conn = open_connection(now)
-                if new_conn is not None:
-                    conn = new_conn
-                    now = busy[id(conn)]
-            i, task = pending.pop(0)
+        allow_block = timeline.report.task_count == 1
+        placements = [p for bundle in pinned.values() for p in bundle]
+        placements += [(None, i, task) for i, task in general]
+        remaining = len(general)
+        for conn, i, task in placements:
+            if conn is None:
+                conn = timeline.pick(node, remaining)
+                remaining -= 1
             bytes_before = conn.bytes_transferred
-            cost = self._execute_on(session, conn, task, results, i,
+            cost = self._execute_on(timeline, conn, task, results, i,
                                     need_txn_block, allow_block, is_write)
+            start = timeline.charge(conn, cost)
             if events is not None:
-                events.append(("task", i, conn.node_name, now, cost, now,
+                events.append((i, node, start, cost,
                                conn.bytes_transferred - bytes_before,
                                task.shard_group))
-            busy[id(conn)] = now + cost
-            used_conn_ids.add(id(conn))
-        report.per_node_connections[node] = len(conns)
-        reused = len(used_conn_ids & preexisting)
-        if reused:
-            report.connections_reused += reused
-            counters.incr("connections_reused", reused, node=node)
-        return max(busy.values(), default=0.0)
 
-    def _execute_on(self, session, conn, task, results, i, need_txn_block,
-                    allow_block=False, is_write=False) -> float:
-        # The in-flight gauge is held via track() so that a failing task
-        # (node crash, lock timeout, SQL error) can never leave it stuck.
-        counters = self.ext.stat_counters
-        with counters.track("tasks_in_flight", node=conn.node_name):
-            try:
-                cost = self._execute_task(session, conn, task, results, i,
-                                          need_txn_block, allow_block, is_write)
-            except WouldBlock:
-                # Lock wait: the statement parks and retries wholesale —
-                # an executor suspension, not a task failure.
-                counters.incr("tasks_blocked", node=conn.node_name)
-                raise
-            except Exception:
-                counters.incr("tasks_failed", node=conn.node_name)
-                raise
-        counters.incr("tasks_executed", node=conn.node_name)
+    def _execute_on(self, timeline: _Timeline, conn, task, results, i,
+                    need_txn_block, allow_block, is_write) -> float:
+        node = conn.node_name
+        timeline.task_started(node)
+        try:
+            cost = self._execute_task(timeline, conn, task, results, i,
+                                      need_txn_block, allow_block, is_write)
+        except WouldBlock:
+            # Lock wait: the statement parks and retries wholesale.
+            timeline.task_ended(node, "blocked")
+            raise
+        except Exception:
+            timeline.task_ended(node, "failed")
+            raise
+        timeline.task_ended(node)
         return cost
 
-    def _execute_task(self, session, conn, task, results, i, need_txn_block,
-                      allow_block=False, is_write=False) -> float:
+    def _execute_task(self, timeline: _Timeline, conn, task, results, i,
+                      need_txn_block, allow_block, is_write) -> float:
+        session = timeline.session
         if need_txn_block:
-            conn.begin_if_needed()
-            session.remote_txns[id(conn)] = conn
-            if is_write:
-                conn.did_write = True
-            # Tag the worker transaction with the distributed txn id up
-            # front so deadlock detection can merge the lock graphs even
-            # while this statement is still waiting.
-            conn.session.ensure_xid()
-            from ..txn.deadlock import assign_distributed_txn_ids
-
-            assign_distributed_txn_ids(self.ext, session)
-        if task.shard_group is not None:
-            conn.accessed_groups.add(task.shard_group)
+            timeline.enlist(conn, is_write)
+        timeline.pin(conn, task.shard_group)
         graph = self.ext.txn_graph
         bytes_before = conn.bytes_transferred if graph is not None else 0
         before = conn.elapsed
@@ -317,7 +396,6 @@ class AdaptiveExecutor:
                               is_write, conn.bytes_transferred - bytes_before)
         return cost
 
-
     # -------------------------------------------------------- streaming
 
     def open_task_streams(self, session, tasks):
@@ -336,9 +414,10 @@ class AdaptiveExecutor:
         return StreamingExecution(self, session, tasks,
                                   batch_size=config.stream_batch_size)
 
-    def open_copy_channels(self, session, expected_by_node=None):
+    def open_copy_channels(self, session, expected_by_node):
         """Write-side streaming entry point: a :class:`CopyChannelExecution`
-        that accepts incremental per-shard COPY flushes. The caller (the
+        that accepts incremental per-shard COPY flushes to the destination
+        shards, ``expected_by_node`` of them per worker. The caller (the
         ShardCopyRouter) decides *whether* streaming writes apply; this
         only builds the execution."""
         return CopyChannelExecution(self, session,
@@ -388,10 +467,10 @@ class StreamingExecution:
 
     Execution stays functionally sequential (single-threaded simulation),
     but the timeline is reconstructed as if the shard streams drained in
-    parallel: every dispatch/fetch charges simulated busy time to the
-    connection it ran on — slow start and connection affinity apply
-    exactly as on the blocking path — and :meth:`finish` advances the
-    clock by the maximum busy time over connections.
+    parallel: each stream is placed on the statement's :class:`_Timeline`
+    when the merge first pulls it, every dispatch/fetch charges simulated
+    busy time to its connection, and :meth:`finish` advances the clock by
+    the statement's elapsed time.
 
     A task costs one round trip when its result fits in one batch: the
     dispatch response carries the first batch, so the dispatch step
@@ -405,36 +484,22 @@ class StreamingExecution:
     """
 
     def __init__(self, executor: AdaptiveExecutor, session, tasks, batch_size: int):
-        self.executor = executor
         self.ext = executor.ext
         self.session = session
-        self.tasks = tasks
         self.batch_size = batch_size
-        self.pools = SessionPools.for_session(session, self.ext)
+        self.timeline = _Timeline(executor, session, len(tasks))
+        self.report = self.timeline.report
         self.counters = self.ext.stat_counters
-        self.report = ExecutionReport(task_count=len(tasks))
         self.streams = [TaskStream(self, i, t) for i, t in enumerate(tasks)]
-        self.need_txn_block = session.in_transaction
-        self._node_state: dict[str, dict] = {}
+        # Streams not yet dispatched per node: the slow-start cap.
         self._unopened: dict[str, int] = {}
         for task in tasks:
             self._unopened[task.node] = self._unopened.get(task.node, 0) + 1
         self._early_noted = False
         self._finished = False
         # Tracing: per-stream timeline events (dispatch, cursor batches,
-        # connects), emitted as spans in finish(). Only collected when a
-        # trace/capture is active at statement start.
-        tracer = self.ext.tracer
-        self.tracer = tracer if (tracer is not None and tracer.active) else None
-        self.trace_base = (self.ext.cluster.clock.now()
-                           if self.tracer is not None else 0.0)
+        # close), emitted as spans in finish().
         self._trace_events: dict[int, dict] = {}
-        self._trace_connects: list[tuple] = []
-        self.graph = self.ext.txn_graph
-        if self.graph is not None:
-            self.graph.statement_begin()
-        self.counters.incr("executor_statements")
-        self.counters.gauge_incr("executor_statements_in_flight")
 
     # -------------------------------------------------- merge-side hooks
 
@@ -450,103 +515,32 @@ class StreamingExecution:
             self.report.early_terminations += 1
             self.counters.incr("early_terminations")
 
-    # ------------------------------------------------- per-node timeline
-
-    def _node(self, node: str) -> dict:
-        state = self._node_state.get(node)
-        if state is None:
-            conns = list(self.pools.idle_connections(node))
-            state = {
-                "conns": conns,
-                "busy": {id(c): 0.0 for c in conns},
-                "preexisting": {id(c) for c in conns},
-                "used": set(),
-            }
-            self._node_state[node] = state
-        return state
-
-    def _open_connection(self, node: str, state: dict, now: float):
-        if not self.ext.try_reserve_shared_slot(node, force=not state["conns"]):
-            return None
-        try:
-            conn = self.pools.open_connection(node)
-        except NodeUnavailable:
-            self.ext.release_shared_slot(node)
-            raise
-        setup = self.ext.cluster.network.connection_setup_cost()
-        state["conns"].append(conn)
-        state["busy"][id(conn)] = now + setup
-        self.report.connections_opened += 1
-        self.counters.incr("connections_opened", node=node)
-        self.session.wait_events.record("Net", "RemoteConnect", setup, node=node)
-        if self.tracer is not None:
-            self._trace_connects.append((node, now, state["busy"][id(conn)]))
-        return conn
-
-    def _pick_connection(self, node: str, state: dict):
-        conns = state["conns"]
-        busy = state["busy"]
-        if not conns:
-            conn = self._open_connection(node, state, 0.0)
-            if conn is None:
-                raise NodeUnavailable(f"no connection available to {node}")
-            return conn
-        conn = min(conns, key=lambda c: busy[id(c)])
-        now = busy[id(conn)]
-        # Slow start, as on the blocking path: the pool target grows by
-        # one per interval of simulated time (§3.6.1).
-        allowance = 1 + int(now / self.executor.slow_start_interval)
-        in_use = sum(1 for c in conns if busy[id(c)] > now)
-        target = min(allowance, self._unopened.get(node, 0) + 1 + in_use)
-        if len(conns) < target:
-            new_conn = self._open_connection(node, state, now)
-            if new_conn is not None:
-                conn = new_conn
-        return conn
-
     # ------------------------------------------------------ stream plumbing
 
     def _open_stream(self, stream: TaskStream) -> None:
         task = stream.task
         node = task.node
-        state = self._node(node)
-        self._unopened[node] = max(0, self._unopened.get(node, 1) - 1)
-        conn = None
-        if task.shard_group is not None:
-            # Transaction affinity: the connection that already touched
-            # this co-located shard group must run the task.
-            conn = self.pools.connection_for_group(node, task.shard_group)
-            if conn is not None and id(conn) not in state["busy"]:
-                state["conns"].append(conn)
-                state["busy"][id(conn)] = 0.0
-                state["preexisting"].add(id(conn))
-        if conn is None:
-            conn = self._pick_connection(node, state)
+        timeline = self.timeline
+        remaining = self._unopened[node]
+        self._unopened[node] = remaining - 1
+        conn = timeline.place(node, task.shard_group, remaining)
         stream.conn = conn
         stream.opened = True
-        state["used"].add(id(conn))
-        if self.need_txn_block:
-            conn.begin_if_needed()
-            self.session.remote_txns[id(conn)] = conn
-            conn.session.ensure_xid()
-            from ..txn.deadlock import assign_distributed_txn_ids
-
-            assign_distributed_txn_ids(self.ext, self.session)
-        if task.shard_group is not None:
-            conn.accessed_groups.add(task.shard_group)
-        self.counters.gauge_incr("tasks_in_flight", node=node)
+        if self.session.in_transaction:
+            timeline.enlist(conn, write=False)
+        timeline.task_started(node)
         before = conn.elapsed
         try:
             stream.cursor = conn.execute_cursor(
                 task.stmt, task.params, batch_size=self.batch_size, sql=task.sql,
             )
         except WouldBlock as block:
-            self._stream_finished(stream, failed=True, blocked=True)
+            self._stream_finished(stream, "blocked")
             from ...errors import LockTimeout
 
             raise LockTimeout(f"could not obtain lock: {block}") from None
         except Exception:
-            self._stream_finished(stream, failed=True)
+            self._stream_finished(stream, "failed")
             raise
         # The dispatch response carries the first batch: its transfer and
         # per-row CPU belong to the dispatch step.
@@ -554,18 +548,16 @@ class StreamingExecution:
         first_rows = len(cursor.prefetched) if cursor.prefetched else 0
         first_cpu = first_rows * self.ext.config.per_row_cpu_cost
         cost = (conn.elapsed - before) + first_cpu
-        busy = state["busy"]
-        start = busy.get(id(conn), 0.0)
-        busy[id(conn)] = start + cost
+        start = timeline.charge(conn, cost)
         self.session.wait_events.record("Net", "RemoteDispatch", cost,
                                         node=conn.node_name)
-        if self.graph is not None:
+        if timeline.graph is not None:
             # Read access recorded at dispatch (bytes accrue per fetch), so
             # even a zero-row shard stream appears in the access set.
-            self.graph.note_access(self.session, conn.node_name,
-                                   task.shard_group, False, 0)
-        if self.tracer is not None:
-            end = busy[id(conn)]
+            timeline.graph.note_access(self.session, conn.node_name,
+                                       task.shard_group, False, 0)
+        if timeline.tracer is not None:
+            end = start + cost
             self._trace_events[stream.index] = {
                 "node": conn.node_name,
                 "group": task.shard_group,
@@ -585,27 +577,25 @@ class StreamingExecution:
         except WouldBlock as block:
             # Multi-task statements never park; a remote lock wait during
             # a fetch surfaces as a lock timeout, like the blocking path.
-            self._stream_finished(stream, failed=True, blocked=True)
+            self._stream_finished(stream, "blocked")
             from ...errors import LockTimeout
 
             raise LockTimeout(f"could not obtain lock: {block}") from None
         except Exception:
-            self._stream_finished(stream, failed=True)
+            self._stream_finished(stream, "failed")
             raise
         if conn.round_trips != trips:
             # Only batches after the first cost their own round trip (the
             # first was charged to the dispatch step).
-            state = self._node(conn.node_name)
             cost = conn.elapsed - before
             if batch:
                 cost += len(batch) * self.ext.config.per_row_cpu_cost
-            busy = state["busy"]
-            start = busy.get(id(conn), 0.0)
-            busy[id(conn)] = start + cost
+            start = self.timeline.charge(conn, cost)
             self.session.wait_events.record("Net", "RemoteFetch", cost,
                                             node=conn.node_name)
-            if self.tracer is not None and stream.index in self._trace_events:
-                self._trace_events[stream.index]["batches"].append(
+            events = self._trace_events.get(stream.index)
+            if events is not None:
+                events["batches"].append(
                     (start, start + cost,
                      len(batch) if batch else 0,
                      stream.cursor.last_payload if batch else 0)
@@ -618,10 +608,10 @@ class StreamingExecution:
         self.counters.incr("batches_fetched", node=conn.node_name)
         self.counters.incr("bytes_streamed", stream.cursor.last_payload,
                            node=conn.node_name)
-        if self.graph is not None:
-            self.graph.note_access(self.session, conn.node_name,
-                                   stream.task.shard_group, False,
-                                   stream.cursor.last_payload)
+        if self.timeline.graph is not None:
+            self.timeline.graph.note_access(self.session, conn.node_name,
+                                            stream.task.shard_group, False,
+                                            stream.cursor.last_payload)
         return batch
 
     def _close_stream(self, stream: TaskStream) -> None:
@@ -637,39 +627,28 @@ class StreamingExecution:
         conn = stream.conn
         before = conn.elapsed
         stream.cursor.close()
-        state = self._node(conn.node_name)
-        busy = state["busy"]
-        start = busy.get(id(conn), 0.0)
-        busy[id(conn)] = start + (conn.elapsed - before)
-        if self.tracer is not None and stream.index in self._trace_events:
-            self._trace_events[stream.index]["close"] = (start, busy[id(conn)])
+        cost = conn.elapsed - before
+        start = self.timeline.charge(conn, cost)
+        events = self._trace_events.get(stream.index)
+        if events is not None:
+            events["close"] = (start, start + cost)
         self._stream_finished(stream)
 
-    def _stream_finished(self, stream: TaskStream, failed: bool = False,
-                         blocked: bool = False) -> None:
+    def _stream_finished(self, stream: TaskStream,
+                         outcome: str = "executed") -> None:
         if stream.done:
             return
         stream.done = True
-        stream.failed = failed
-        node = stream.conn.node_name if stream.conn is not None else stream.task.node
-        self.counters.gauge_decr("tasks_in_flight", node=node)
-        if blocked:
-            self.counters.incr("tasks_blocked", node=node)
-        elif failed:
-            self.counters.incr("tasks_failed", node=node)
-        else:
-            self.counters.incr("tasks_executed", node=node)
+        stream.failed = outcome != "executed"
+        self.timeline.task_ended(stream.task.node, outcome)
 
     def _emit_stream_spans(self) -> None:
         """Emit the collected streaming timeline as spans: one ``task``
         span per dispatched stream with nested ``dispatch``/``batch``
-        children, plus ``connect`` spans and zero-duration markers for
-        tasks the early-terminated merge never dispatched."""
-        tracer = self.tracer
-        base = self.trace_base
-        for node, start, end in self._trace_connects:
-            tracer.add_span("connect", "network", base + start, base + end,
-                            node=node)
+        children, plus zero-duration markers for tasks the early-terminated
+        merge never dispatched."""
+        tracer = self.timeline.tracer
+        base = self.timeline.trace_base
         for stream in self.streams:
             events = self._trace_events.get(stream.index)
             if events is None:
@@ -720,8 +699,9 @@ class StreamingExecution:
     # ------------------------------------------------------------ finish
 
     def finish(self) -> ExecutionReport:
-        """Close remaining streams, reconstruct the parallel timeline, and
-        settle counters/gauges. Idempotent; always called (``finally``)."""
+        """Close remaining streams, advance the clock by the statement's
+        elapsed time and settle the timeline. Idempotent; always called
+        (``finally``)."""
         if self._finished:
             return self.report
         self._finished = True
@@ -731,40 +711,15 @@ class StreamingExecution:
                     self._close_stream(stream)
                 except Exception:
                     # Teardown must settle gauges even over broken conns.
-                    self._stream_finished(stream, failed=True)
-        report = self.report
-        node_elapsed = [max(state["busy"].values(), default=0.0)
-                       for state in self._node_state.values()]
-        report.elapsed = max(node_elapsed, default=0.0)
-        for node, state in self._node_state.items():
-            report.per_node_connections[node] = len(state["conns"])
-            reused = len(state["used"] & state["preexisting"])
-            if reused:
-                report.connections_reused += reused
-                self.counters.incr("connections_reused", reused, node=node)
-        report.connections_used = sum(report.per_node_connections.values())
-        if self.tracer is not None:
-            self._emit_stream_spans()
-        if self.ext.cluster is not None:
-            self.ext.cluster.clock.advance(report.elapsed)
-        self.session.stats["citus_tasks"] += len(self.tasks)
-        self.session.stats["citus_connections"] += report.connections_opened
-        self.counters.gauge_decr("executor_statements_in_flight")
-        if report.rows_buffered_peak:
+                    self._stream_finished(stream, "failed")
+        self.ext.cluster.clock.advance(self.timeline.elapsed())
+        if self.report.rows_buffered_peak:
             self.counters.gauge_max("rows_buffered_peak",
-                                    report.rows_buffered_peak)
-        self.executor.last_report = report
-        if self.graph is not None:
-            if any(stream.failed for stream in self.streams):
-                self.graph.discard_statement(self.session)
-            else:
-                self.graph.statement_done(self.session, report.elapsed)
-        if not self.session.in_transaction and not self.need_txn_block:
-            # Shard-group affinity only matters within a transaction; drop
-            # it so cached connections don't accumulate stale pins.
-            for conn in self.pools.all_connections():
-                if not conn.in_txn_block:
-                    conn.accessed_groups.clear()
+                                    self.report.rows_buffered_peak)
+        report = self.timeline.settle(
+            failed=any(stream.failed for stream in self.streams))
+        if self.timeline.tracer is not None:
+            self._emit_stream_spans()
         return report
 
 
@@ -779,46 +734,33 @@ class CopyChannelExecution:
     statement-failure path and rolls back every shard, and the statement's
     commit settles through the 1PC/2PC callbacks exactly as before.
 
-    Connection affinity pins each shard group to the connection that took
-    its first flush, so rows arrive at a shard in routing order and later
-    statements in the same transaction see the uncommitted COPY. The
-    timeline is reconstructed as if channels flushed in parallel: each
-    flush charges simulated busy time to its connection. Because the
-    flushes overlap the statement's read side (the distributed SELECT or
-    client COPY stream that feeds the router), :meth:`finish` advances the
-    clock only by the write timeline's *non-overlapped* remainder — the
-    statement's end-to-end time is max(read, write), not read + write,
-    which is exactly the pipelining win of §3.8.
+    Each channel is placed on the statement's :class:`_Timeline` at its
+    first flush, and affinity pins its shard group to that connection, so
+    rows arrive at a shard in routing order and later statements in the
+    same transaction see the uncommitted COPY. Each flush charges simulated
+    busy time to its connection. Because the flushes overlap the
+    statement's read side (the distributed SELECT or client COPY stream
+    that feeds the router), :meth:`finish` advances the clock only by the
+    write timeline's *non-overlapped* remainder — the statement's
+    end-to-end time is max(read, write), not read + write, which is exactly
+    the pipelining win of §3.8.
     """
 
-    def __init__(self, executor: AdaptiveExecutor, session,
-                 expected_by_node=None):
-        self.executor = executor
+    def __init__(self, executor: AdaptiveExecutor, session, expected_by_node):
         self.ext = executor.ext
         self.session = session
-        self.pools = SessionPools.for_session(session, self.ext)
+        self.timeline = _Timeline(executor, session, 0)
+        self.report = self.timeline.report
         self.counters = self.ext.stat_counters
-        self.report = ExecutionReport()
-        self._node_state: dict[str, dict] = {}
-        # Slow-start sizing hint: how many channels may still open per node
-        # (the count of destination shards placed there).
-        self._unopened: dict[str, int] = dict(expected_by_node or {})
+        # Channels that may still open per node (the count of destination
+        # shards placed there): the slow-start cap.
+        self._unopened: dict[str, int] = dict(expected_by_node)
         self._channels: dict = {}  # channel key -> per-channel state
         self._finished = False
         # Clock position when routing began: everything the read side
         # advances between now and finish() overlaps the write timeline.
         self._start_clock = (self.ext.cluster.clock.now()
                              if self.ext.cluster is not None else 0.0)
-        tracer = self.ext.tracer
-        self.tracer = tracer if (tracer is not None and tracer.active) else None
-        self.trace_base = (self.ext.cluster.clock.now()
-                           if self.tracer is not None else 0.0)
-        self._trace_connects: list[tuple] = []
-        self.graph = self.ext.txn_graph
-        if self.graph is not None:
-            self.graph.statement_begin()
-        self.counters.incr("executor_statements")
-        self.counters.gauge_incr("executor_statements_in_flight")
 
     # --------------------------------------------------- router-side hooks
 
@@ -829,89 +771,22 @@ class CopyChannelExecution:
         if n > self.report.copy_channel_peak_rows:
             self.report.copy_channel_peak_rows = n
 
-    # ------------------------------------------------- per-node timeline
-
-    def _node(self, node: str) -> dict:
-        state = self._node_state.get(node)
-        if state is None:
-            conns = list(self.pools.idle_connections(node))
-            state = {
-                "conns": conns,
-                "busy": {id(c): 0.0 for c in conns},
-                "preexisting": {id(c) for c in conns},
-                "used": set(),
-            }
-            self._node_state[node] = state
-        return state
-
-    def _open_connection(self, node: str, state: dict, now: float):
-        if not self.ext.try_reserve_shared_slot(node, force=not state["conns"]):
-            return None
-        try:
-            conn = self.pools.open_connection(node)
-        except NodeUnavailable:
-            self.ext.release_shared_slot(node)
-            raise
-        setup = self.ext.cluster.network.connection_setup_cost()
-        state["conns"].append(conn)
-        state["busy"][id(conn)] = now + setup
-        self.report.connections_opened += 1
-        self.counters.incr("connections_opened", node=node)
-        self.session.wait_events.record("Net", "RemoteConnect", setup, node=node)
-        if self.tracer is not None:
-            self._trace_connects.append((node, now, state["busy"][id(conn)]))
-        return conn
-
-    def _pick_connection(self, node: str, state: dict):
-        conns = state["conns"]
-        busy = state["busy"]
-        if not conns:
-            conn = self._open_connection(node, state, 0.0)
-            if conn is None:
-                raise NodeUnavailable(f"no connection available to {node}")
-            return conn
-        conn = min(conns, key=lambda c: busy[id(c)])
-        now = busy[id(conn)]
-        # Slow start, as on the read side: the pool target grows by one per
-        # interval of simulated time (§3.6.1).
-        allowance = 1 + int(now / self.executor.slow_start_interval)
-        in_use = sum(1 for c in conns if busy[id(c)] > now)
-        target = min(allowance, self._unopened.get(node, 0) + 1 + in_use)
-        if len(conns) < target:
-            new_conn = self._open_connection(node, state, now)
-            if new_conn is not None:
-                conn = new_conn
-        return conn
-
     # ------------------------------------------------------------ channels
 
     def _channel(self, key, index, node, shard_group) -> dict:
         channel = self._channels.get(key)
         if channel is None:
-            state = self._node(node)
-            self._unopened[node] = max(0, self._unopened.get(node, 1) - 1)
-            conn = None
-            if shard_group is not None:
-                # Transaction affinity: the connection that already touched
-                # this co-located shard group must take every flush.
-                conn = self.pools.connection_for_group(node, shard_group)
-                if conn is not None and id(conn) not in state["busy"]:
-                    state["conns"].append(conn)
-                    state["busy"][id(conn)] = 0.0
-                    state["preexisting"].add(id(conn))
-            if conn is None:
-                conn = self._pick_connection(node, state)
-            if shard_group is not None:
-                conn.accessed_groups.add(shard_group)
+            remaining = self._unopened[node]
+            self._unopened[node] = remaining - 1
+            conn = self.timeline.place(node, shard_group, remaining)
             channel = {
                 "index": index, "node": node, "group": shard_group,
                 "conn": conn, "rows": 0, "bytes": 0, "flushes": 0,
-                "events": [] if self.tracer is not None else None,
-                "done": False,
+                "events": [] if self.timeline.tracer is not None else None,
+                "done": False, "failed": False,
             }
             self._channels[key] = channel
-            state["used"].add(id(conn))
-            self.counters.gauge_incr("tasks_in_flight", node=node)
+            self.timeline.task_started(node)
         return channel
 
     def flush(self, key, index, node, shard_group, shard_name, columns,
@@ -922,16 +797,7 @@ class CopyChannelExecution:
         conn = channel["conn"]
         # Every flush is transactional: a later error must be able to roll
         # back rows that already crossed the wire.
-        conn.begin_if_needed()
-        self.session.remote_txns[id(conn)] = conn
-        conn.did_write = True
-        conn.session.ensure_xid()
-        from ..txn.deadlock import assign_distributed_txn_ids
-
-        assign_distributed_txn_ids(self.ext, self.session)
-        state = self._node(node)
-        busy = state["busy"]
-        start = busy.get(id(conn), 0.0)
+        self.timeline.enlist(conn, write=True)
         before = conn.elapsed
         bytes_before = conn.bytes_transferred
         try:
@@ -940,11 +806,11 @@ class CopyChannelExecution:
             conn.copy_rows(shard_name, rows, columns,
                            pipelined=channel["flushes"] > 0)
         except Exception:
-            self._channel_finished(channel, failed=True)
+            self._channel_finished(channel, "failed")
             raise
         nbytes = conn.bytes_transferred - bytes_before
         cost = (conn.elapsed - before) + len(rows) * self.ext.config.per_row_cpu_cost
-        busy[id(conn)] = start + cost
+        start = self.timeline.charge(conn, cost)
         self.session.wait_events.record("Net", "RemoteCopy", cost, node=node)
         channel["rows"] += len(rows)
         channel["bytes"] += nbytes
@@ -958,31 +824,24 @@ class CopyChannelExecution:
         self.counters.incr("copy_flushes", node=node)
         self.counters.incr("copy_rows_routed", len(rows), node=node)
         self.counters.incr("copy_bytes_streamed", nbytes, node=node)
-        if self.graph is not None:
-            self.graph.note_access(self.session, node, shard_group, True,
-                                   nbytes)
+        if self.timeline.graph is not None:
+            self.timeline.graph.note_access(self.session, node, shard_group,
+                                            True, nbytes)
 
-    def _channel_finished(self, channel: dict, failed: bool = False) -> None:
+    def _channel_finished(self, channel: dict,
+                          outcome: str = "executed") -> None:
         if channel["done"]:
             return
         channel["done"] = True
-        channel["failed"] = failed
-        node = channel["node"]
-        self.counters.gauge_decr("tasks_in_flight", node=node)
-        if failed:
-            self.counters.incr("tasks_failed", node=node)
-        else:
-            self.counters.incr("tasks_executed", node=node)
+        channel["failed"] = outcome != "executed"
+        self.timeline.task_ended(channel["node"], outcome)
 
     def _emit_channel_spans(self) -> None:
         """One ``task`` span per destination channel (matched back to the
         plan's per-shard task list by ``index``) with nested per-flush
-        children, plus ``connect`` spans."""
-        tracer = self.tracer
-        base = self.trace_base
-        for node, start, end in self._trace_connects:
-            tracer.add_span("connect", "network", base + start, base + end,
-                            node=node)
+        children, plus the aggregate ``route`` span."""
+        tracer = self.timeline.tracer
+        base = self.timeline.trace_base
         from ..tracing import Span
 
         for channel in self._channels.values():
@@ -1002,62 +861,46 @@ class CopyChannelExecution:
                 task_span.add(Span("flush", "network", base + f_start,
                                    base + f_end, node=channel["node"],
                                    attrs={"rows": rows, "bytes": nbytes}))
+        # Aggregate routing span: EXPLAIN ANALYZE lifts these actuals onto
+        # the "Repartition:" line of the plan tree.
+        report = self.report
+        tracer.add_span(
+            "route", "repartition", base, base + report.elapsed,
+            flushes=report.copy_flushes, rows=report.copy_rows_routed,
+            bytes=report.copy_bytes_streamed,
+            channel_peak_rows=report.copy_channel_peak_rows,
+            channels=len(self._channels),
+        )
 
     # ------------------------------------------------------------ finish
 
     def finish(self) -> ExecutionReport:
-        """Settle counters/gauges and reconstruct the parallel timeline.
-        Idempotent; always called (``finally``), including on failure."""
+        """Advance the clock by the write timeline's non-overlapped
+        remainder and settle the timeline. Idempotent; always called
+        (``finally``), including on failure."""
         if self._finished:
             return self.report
         self._finished = True
         for channel in self._channels.values():
             self._channel_finished(channel)
-        report = self.report
-        report.task_count = len(self._channels)
-        node_elapsed = [max(state["busy"].values(), default=0.0)
-                        for state in self._node_state.values()]
-        report.elapsed = max(node_elapsed, default=0.0)
-        for node, state in self._node_state.items():
-            report.per_node_connections[node] = len(state["conns"])
-            reused = len(state["used"] & state["preexisting"])
-            if reused:
-                report.connections_reused += reused
-                self.counters.incr("connections_reused", reused, node=node)
-        report.connections_used = sum(report.per_node_connections.values())
-        if self.tracer is not None:
-            self._emit_channel_spans()
-            # Aggregate routing span: EXPLAIN ANALYZE lifts these actuals
-            # onto the "Repartition:" line of the plan tree.
-            self.tracer.add_span(
-                "route", "repartition", self.trace_base,
-                self.trace_base + report.elapsed,
-                flushes=report.copy_flushes, rows=report.copy_rows_routed,
-                bytes=report.copy_bytes_streamed,
-                channel_peak_rows=report.copy_channel_peak_rows,
-                channels=len(self._channels),
-            )
+        self.report.task_count = len(self._channels)
         if self.ext.cluster is not None:
             # Pipelining: the read side already advanced the clock while
             # rows were being routed; only the write timeline's remainder
             # beyond that overlap extends the statement.
             overlapped = self.ext.cluster.clock.now() - self._start_clock
-            self.ext.cluster.clock.advance(max(0.0, report.elapsed - overlapped))
-        self.session.stats["citus_tasks"] += len(self._channels)
-        self.session.stats["citus_connections"] += report.connections_opened
-        self.counters.gauge_decr("executor_statements_in_flight")
-        if report.copy_channel_peak_rows:
+            self.ext.cluster.clock.advance(
+                max(0.0, self.timeline.elapsed() - overlapped))
+        if self.report.copy_channel_peak_rows:
             self.counters.gauge_max("copy_channel_peak_rows",
-                                    report.copy_channel_peak_rows)
-        self.executor.last_report = report
-        if self.graph is not None:
-            # A failed flush aborts the whole write through the session's
-            # statement-failure path (abort_txn clears the collector); only
-            # a clean finish commits the statement's accesses.
-            if any(c.get("failed") for c in self._channels.values()):
-                self.graph.discard_statement(self.session)
-            else:
-                self.graph.statement_done(self.session, report.elapsed)
+                                    self.report.copy_channel_peak_rows)
+        # A failed flush aborts the whole write through the session's
+        # statement-failure path; only a clean finish commits the
+        # statement's accesses to the transaction graph.
+        report = self.timeline.settle(
+            failed=any(c["failed"] for c in self._channels.values()))
+        if self.timeline.tracer is not None:
+            self._emit_channel_spans()
         return report
 
 

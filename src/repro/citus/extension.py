@@ -182,7 +182,6 @@ class CitusExtension:
 
     def try_reserve_shared_slot(self, node: str, force: bool = False) -> bool:
         if not force and self._shared_slots[node] >= self.config.max_shared_pool_size:
-            self.stats["shared_pool_throttled"] += 1
             self.stat_counters.incr("shared_pool_throttled", node=node)
             return False
         self._shared_slots[node] += 1
