@@ -177,8 +177,6 @@ class RepartitionPlan:
 
         # 1. Materialize the moved table on the coordinator.
         moved_rows = session.execute(f"SELECT * FROM {self.moved.name}").rows
-        ext.stats["repartition_rows_moved"] += len(moved_rows)
-        ext.stats["repartition_bytes"] += int(self.estimated_network_bytes)
         ext.stat_counters.incr("repartition_rows_moved", len(moved_rows))
         ext.stat_counters.incr("repartition_bytes", int(self.estimated_network_bytes))
 

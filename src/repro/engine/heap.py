@@ -12,7 +12,7 @@ on-disk size from row widths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .datum import to_text
 from .mvcc import CommitLog, HeapTupleHeader, Snapshot, tuple_visible
@@ -21,7 +21,7 @@ PAGE_SIZE = 8192
 TUPLE_OVERHEAD = 28  # header bytes per tuple, roughly PostgreSQL's
 
 
-@dataclass
+@dataclass(slots=True)
 class HeapTuple:
     tid: int
     row_id: int
@@ -112,17 +112,17 @@ class Heap:
 
     # ------------------------------------------------------------- vacuum
 
-    def vacuum(self, oldest_active_xid: int, clog: CommitLog) -> int:
+    def vacuum(self, oldest_active_xid: int, clog: CommitLog) -> set[int]:
         """Remove tuple versions no transaction can see anymore.
 
         Mirrors PostgreSQL autovacuum: a version is dead when its xmax
         committed before the oldest active xid, or its xmin aborted.
-        Returns the number of versions reclaimed.
+        Returns the reclaimed TIDs, for the indexes' ``bulk_delete``.
         """
         from .mvcc import ABORTED, COMMITTED
 
         keep: list[HeapTuple] = []
-        removed = 0
+        removed: set[int] = set()
         for tup in self.tuples:
             xmin_status = clog.status(tup.header.xmin)
             dead = False
@@ -133,7 +133,7 @@ class Heap:
                 if xmax_status == COMMITTED and tup.header.xmax < oldest_active_xid:
                     dead = True
             if dead:
-                removed += 1
+                removed.add(tup.tid)
                 width = tup.width()
                 self.live_bytes -= width
                 del self._by_tid[tup.tid]

@@ -995,7 +995,12 @@ class Session:
         )
         removed = 0
         for table in tables:
-            removed += table.heap.vacuum(oldest, self.instance.xids.clog)
+            dead = table.heap.vacuum(oldest, self.instance.xids.clog)
+            if dead:
+                for index in table.indexes.values():
+                    if index.data is not None:
+                        index.data.bulk_delete(dead)
+            removed += len(dead)
         result = QueryResult([], [], command="VACUUM")
         result.rowcount = removed
         return result

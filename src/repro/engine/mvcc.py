@@ -9,7 +9,7 @@ commit log.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 IN_PROGRESS = "in_progress"
 COMMITTED = "committed"
@@ -96,7 +96,7 @@ class XidManager:
         return Snapshot(self.next_xid, frozenset(self.active), own_xid)
 
 
-@dataclass
+@dataclass(slots=True)
 class HeapTupleHeader:
     """MVCC header carried by every heap tuple version."""
 

@@ -109,7 +109,7 @@ class TestHeapVacuum:
         heap.insert([2], w2, row_id=t1.row_id)
         xids.finish(w2, True)
         removed = heap.vacuum(xids.next_xid, xids.clog)
-        assert removed == 1
+        assert removed == {t1.tid}
         assert len(heap.tuples) == 1
         assert heap.tuples[0].values == [2]
 
@@ -124,7 +124,7 @@ class TestHeapVacuum:
         heap.mark_deleted(t1.tid, w2)
         xids.finish(w2, True)
         removed = heap.vacuum(old_reader, xids.clog)
-        assert removed == 0  # xmax >= oldest active: keep
+        assert removed == set()  # xmax >= oldest active: keep
 
     def test_page_accounting(self):
         heap = Heap("t")
@@ -165,8 +165,11 @@ class TestBTreeIndex:
         index = BTreeIndex(1)
         index.insert([1], 10)
         index.insert([1], 11)
-        index.delete([1], 10)
+        index.insert([2], 12)
+        index.bulk_delete({10, 12})
         assert index.scan_equal([1]) == [11]
+        assert index.scan_all() == [11]
+        assert len(index) == 1
 
     @given(st.lists(st.integers(min_value=-100, max_value=100), max_size=60))
     def test_property_scan_all_is_sorted(self, keys):
@@ -208,8 +211,11 @@ class TestGinIndex:
     def test_delete(self):
         index = GinIndex()
         index.insert("hello world", 1)
-        index.delete("hello world", 1)
-        assert index.search_substring("hello") == set()
+        index.insert("hello there", 2)
+        index.bulk_delete({1})
+        assert index.search_substring("hello") == {2}
+        assert index.search_substring("world") == set()
+        assert index.entry_count == len(trigrams("hello there"))
 
     def test_candidates_are_superset_not_exact(self):
         # GIN may return false positives (recheck needed), never misses.
@@ -220,6 +226,69 @@ class TestGinIndex:
         candidates = index.search_substring("abc")
         actual = {t for t, text in enumerate(texts) if "abc" in text}
         assert actual <= candidates
+
+
+def _needle_grams(needle: str) -> set[str]:
+    return {word[i : i + 3] for word in needle.lower().split() for i in range(len(word) - 2)}
+
+
+_gin_words = st.text(alphabet="abc", min_size=1, max_size=6)
+_gin_texts = st.lists(_gin_words, max_size=5).map(" ".join)
+
+
+class TestGinOracle:
+    """GinIndex against brute force over random documents, out-of-order
+    TIDs and bulk deletes."""
+
+    @given(st.dictionaries(st.integers(min_value=1, max_value=200), _gin_texts, max_size=30),
+           st.randoms(use_true_random=False),
+           st.sets(st.integers(min_value=1, max_value=200), max_size=20),
+           st.lists(_gin_texts, min_size=1, max_size=10))
+    def test_matches_brute_force(self, docs, rng, dead, needles):
+        index = GinIndex()
+        order = list(docs)
+        rng.shuffle(order)
+        for tid in order + order[: len(order) // 2]:  # re-inserts add nothing
+            index.insert(docs[tid], tid)
+        index.bulk_delete(dead)
+        live = {tid: trigrams(text) for tid, text in docs.items() if tid not in dead}
+
+        for needle in needles + list(docs.values())[:5]:
+            grams = _needle_grams(needle)
+            got = index.search_substring(needle)
+            if not grams:
+                assert got is None
+            else:
+                assert got == {tid for tid, doc in live.items() if grams <= doc}
+
+        postings = index._postings.values()
+        assert all(list(p) == sorted(set(p)) and len(p) > 0 for p in postings)
+        assert index.entry_count == sum(len(p) for p in postings)
+        assert index.entry_count == sum(len(g) for g in live.values())
+
+
+class TestVacuumIndexCleanup:
+    def test_vacuum_bulk_deletes_stale_index_entries(self, session):
+        session.execute("CREATE TABLE docs (id int PRIMARY KEY, n int, body text)")
+        session.execute("CREATE INDEX docs_body ON docs USING gin (body gin_trgm_ops)")
+        session.execute("INSERT INTO docs VALUES (1, 0, 'fix postgres planner'),"
+                        " (2, 0, 'update readme'), (3, 0, 'postgres rocks')")
+        table = session.instance.catalog.get_table("docs")
+        btree = table.indexes["docs_pkey"].data
+        gin = table.indexes["docs_body"].data
+        one_version = gin.entry_count
+        queries = ["SELECT id, n FROM docs WHERE body ILIKE '%postgres%' ORDER BY id",
+                   "SELECT id, n FROM docs WHERE id = 1", "SELECT count(*) FROM docs"]
+        for _ in range(50):
+            session.execute("UPDATE docs SET n = n + 1 WHERE id = 1")
+        answers = [session.execute(q).rows for q in queries]
+        assert len(btree) == 53 and gin.entry_count > one_version
+
+        assert session.execute("VACUUM docs").rowcount == 50
+        assert len(btree) == 3
+        assert gin.entry_count == one_version
+        assert [session.execute(q).rows for q in queries] == answers
+        assert answers[1] == [[1, 50]]
 
 
 class TestLockManager:
